@@ -44,7 +44,7 @@ from repro.core.biases import VENDOR_MODES, mode_by_name
 from repro.core.ensembles import EnsembleConfig
 from repro.core.experiment import (
     CampaignConfig,
-    _effective_jobs,
+    effective_jobs,
     run_app_once,
     run_campaign,
     stats_by_mode,
@@ -100,6 +100,32 @@ def _faults_from_args(args) -> FaultSchedule | None:
     return FaultSchedule.parse(spec, seed=args.seed)
 
 
+def _campaign_from_args(args, **extra) -> tuple:
+    """The system and campaign a campaign command's flags describe."""
+    return _system(args.system), CampaignConfig(
+        app=app_by_name(args.app)(),
+        n_nodes=args.nodes,
+        modes=tuple(mode_by_name(m) for m in args.modes.split(",")),
+        samples=args.samples,
+        seed=args.seed,
+        faults=_faults_from_args(args),
+        **extra,
+    )
+
+
+def _print_mode_stats(records) -> None:
+    """Per-mode runtime table, fastest mode first."""
+    for mode, st in sorted(
+        stats_by_mode(records).items(),
+        key=lambda kv: kv[1].mean if np.isfinite(kv[1].mean) else float("inf"),
+    ):
+        flag = "" if st.reliable else "  [unreliable: too few samples]"
+        print(
+            f"  {mode:6s} mean {st.mean:8.1f} s  std {st.std:7.1f}  "
+            f"p95 {st.p95:8.1f}  (n={st.n}){flag}"
+        )
+
+
 def _guard_from_args(args):
     """Build a :class:`GuardPolicy` from the guard flags (None if unset)."""
     from repro.guard import GuardPolicy
@@ -132,63 +158,35 @@ def cmd_describe(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    top = _system(args.system)
-    app = app_by_name(args.app)()
-    modes = tuple(mode_by_name(m) for m in args.modes.split(","))
-    faults = _faults_from_args(args)
-    print(f"{app.describe()} on {top.params.name}, {args.samples} samples per mode ...")
-    if faults:
-        print(f"  degraded network: {faults.describe()}")
-    cfg = CampaignConfig(
-        app=app,
-        n_nodes=args.nodes,
-        modes=modes,
-        samples=args.samples,
-        seed=args.seed,
-        faults=faults,
-        max_attempts=args.max_attempts,
-        guard=_guard_from_args(args),
+    top, cfg = _campaign_from_args(args, max_attempts=args.max_attempts)
+    print(f"{cfg.app.describe()} on {top.params.name}, {args.samples} samples per mode ...")
+    if cfg.faults:
+        print(f"  degraded network: {cfg.faults.describe()}")
+    cfg.guard = _guard_from_args(args)
+    run_kw = dict(
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        jobs=args.jobs,
+        queue_dir=getattr(args, "queue", None),
     )
     cache_dir = getattr(args, "cache", None)
     if cache_dir is not None:
         from repro.service import RunRecordStore, run_campaign_cached
 
-        outcome = run_campaign_cached(
-            top,
-            cfg,
-            store=RunRecordStore(cache_dir),
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            jobs=args.jobs,
-            queue_dir=getattr(args, "queue", None),
-        )
+        outcome = run_campaign_cached(top, cfg, store=RunRecordStore(cache_dir), **run_kw)
         records = outcome.records
         print(
             f"  cache: {outcome.hits} hit(s)  {outcome.misses} miss(es)"
             + (f"  {outcome.resumed} resumed" if outcome.resumed else "")
         )
     else:
-        records = run_campaign(
-            top,
-            cfg,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            jobs=args.jobs,
-            queue_dir=getattr(args, "queue", None),
-        )
+        records = run_campaign(top, cfg, **run_kw)
     failed = [r for r in records if not r.ok]
     if failed:
         print(f"  {len(failed)}/{len(records)} runs failed (first: {failed[0].error})")
-    for mode, st in sorted(
-        stats_by_mode(records).items(),
-        key=lambda kv: kv[1].mean if np.isfinite(kv[1].mean) else float("inf"),
-    ):
-        flag = "" if st.reliable else "  [unreliable: too few samples]"
-        print(
-            f"  {mode:6s} mean {st.mean:8.1f} s  std {st.std:7.1f}  "
-            f"p95 {st.p95:8.1f}  (n={st.n}){flag}"
-        )
-    for row in improvement_table(records, base_mode=modes[0].name, test_mode=modes[-1].name):
+    _print_mode_stats(records)
+    base, test = cfg.modes[0].name, cfg.modes[-1].name
+    for row in improvement_table(records, base_mode=base, test_mode=test):
         print(
             f"\n{row.test_mode} over {row.base_mode}: "
             f"{row.time_improvement:+.1f}% time, {row.mpi_improvement:+.1f}% MPI"
@@ -348,7 +346,7 @@ def cmd_ensemble(args) -> int:
                 json.dumps({"config": fingerprint, "outputs": outputs}) + "\n"
             )
 
-    run_ensembles(top, cfgs, jobs=_effective_jobs(args.workers), on_result=on_result)
+    run_ensembles(top, cfgs, jobs=effective_jobs(args.workers), on_result=on_result)
     return 0
 
 
@@ -521,17 +519,7 @@ def cmd_chaos(args) -> int:
     from repro.chaos.runner import run_soak, verify_replay
     from repro.chaos.schedule import ChaosSpecError
 
-    top = _system(args.system)
-    app = app_by_name(args.app)()
-    modes = tuple(mode_by_name(m) for m in args.modes.split(","))
-    cfg = CampaignConfig(
-        app=app,
-        n_nodes=args.nodes,
-        modes=modes,
-        samples=args.samples,
-        seed=args.seed,
-        faults=_faults_from_args(args),
-    )
+    top, cfg = _campaign_from_args(args)
     workdir = args.workdir
     tmp = None
     if workdir is None:
@@ -573,18 +561,7 @@ def cmd_submit(args) -> int:
     from repro.service import client
     from repro.telemetry import resolve_telemetry
 
-    top = _system(args.system)
-    app = app_by_name(args.app)()
-    modes = tuple(mode_by_name(m) for m in args.modes.split(","))
-    cfg = CampaignConfig(
-        app=app,
-        n_nodes=args.nodes,
-        modes=modes,
-        samples=args.samples,
-        seed=args.seed,
-        faults=_faults_from_args(args),
-        max_attempts=args.max_attempts,
-    )
+    top, cfg = _campaign_from_args(args, max_attempts=args.max_attempts)
     manifest = campaign_to_manifest(top, cfg, resolve_telemetry(None))
     try:
         resp = client.submit(args.url, manifest, jobs=args.jobs)
@@ -607,16 +584,7 @@ def cmd_submit(args) -> int:
     )
     from repro.core.checkpoint import record_from_dict
 
-    records = [record_from_dict(d) for d in doc.get("records", [])]
-    for mode, st in sorted(
-        stats_by_mode(records).items(),
-        key=lambda kv: kv[1].mean if np.isfinite(kv[1].mean) else float("inf"),
-    ):
-        flag = "" if st.reliable else "  [unreliable: too few samples]"
-        print(
-            f"  {mode:6s} mean {st.mean:8.1f} s  std {st.std:7.1f}  "
-            f"p95 {st.p95:8.1f}  (n={st.n}){flag}"
-        )
+    _print_mode_stats([record_from_dict(d) for d in doc.get("records", [])])
     return 0
 
 
@@ -840,6 +808,20 @@ def build_parser() -> argparse.ArgumentParser:
             "or 1; results are identical for any value)",
         )
 
+    def campaign_shape(sp, *, samples=8, modes="AD0,AD3", modes_help=None):
+        sp.add_argument("--app", default="milc")
+        sp.add_argument("--nodes", type=int, default=256)
+        sp.add_argument("--samples", type=int, default=samples)
+        sp.add_argument(
+            "--modes", default=modes, help=modes_help or "comma-separated, e.g. AD0,AD3"
+        )
+        sp.add_argument(
+            "--max-attempts",
+            type=int,
+            default=1,
+            help="retries per run on transient solver non-convergence",
+        )
+
     def campaign_flags(sp):
         sp.add_argument(
             "--faults",
@@ -916,35 +898,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="paired campaign over chosen modes")
     common(sp)
-    sp.add_argument("--app", default="milc")
-    sp.add_argument("--nodes", type=int, default=256)
-    sp.add_argument("--samples", type=int, default=8)
-    sp.add_argument("--modes", default="AD0,AD3", help="comma-separated, e.g. AD0,AD3")
-    sp.add_argument(
-        "--max-attempts",
-        type=int,
-        default=1,
-        help="retries per run on transient solver non-convergence",
-    )
+    campaign_shape(sp)
     campaign_flags(sp)
     jobs_flag(sp)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("sweep", help="campaign over all four vendor modes")
     common(sp)
-    sp.add_argument("--app", default="milc")
-    sp.add_argument("--nodes", type=int, default=256)
-    sp.add_argument("--samples", type=int, default=6)
-    sp.add_argument(
-        "--modes",
-        default="AD0,AD1,AD2,AD3",
-        help="comma-separated mode subset to sweep (default: all four)",
-    )
-    sp.add_argument(
-        "--max-attempts",
-        type=int,
-        default=1,
-        help="retries per run on transient solver non-convergence",
+    campaign_shape(
+        sp,
+        samples=6,
+        modes="AD0,AD1,AD2,AD3",
+        modes_help="comma-separated mode subset to sweep (default: all four)",
     )
     campaign_flags(sp)
     jobs_flag(sp)
@@ -1302,16 +1267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(sp)
     sp.add_argument("--url", required=True, help="service base URL (http://host:port)")
-    sp.add_argument("--app", default="milc")
-    sp.add_argument("--nodes", type=int, default=256)
-    sp.add_argument("--samples", type=int, default=8)
-    sp.add_argument("--modes", default="AD0,AD3", help="comma-separated, e.g. AD0,AD3")
-    sp.add_argument(
-        "--max-attempts",
-        type=int,
-        default=1,
-        help="retries per run on transient solver non-convergence",
-    )
+    campaign_shape(sp)
     sp.add_argument(
         "--faults",
         default=None,

@@ -13,9 +13,10 @@ same four-month production window aimed to be.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from repro.network.counters import CounterBank
 from repro.network.fluid import FlowSet, FluidParams, FluidResult, solve_fluid
 from repro.scheduler.background import BackgroundModel, BackgroundScenario
 from repro.scheduler.placement import groups_spanned, make_placement
-from repro.telemetry import MultiTraceWriter, Telemetry, resolve_telemetry
+from repro.telemetry import (
+    NULL_TRACE,
+    MemoryTraceWriter,
+    MetricsRegistry,
+    MultiTraceWriter,
+    Telemetry,
+    resolve_telemetry,
+)
 from repro.telemetry.series import CadenceRecorder, CounterSeries
 from repro.topology.dragonfly import DragonflyTopology
 from repro.util import derive_rng
@@ -439,31 +447,6 @@ def _error_record(
     )
 
 
-def resolve_scenarios(
-    top: DragonflyTopology,
-    cfg: CampaignConfig,
-    background_model: BackgroundModel | None,
-    scenarios: list[BackgroundScenario] | None,
-) -> tuple[BackgroundModel | None, list[BackgroundScenario] | None]:
-    """The ``(model, scenario pool)`` a campaign samples its background from.
-
-    Pure function of ``(top, cfg)`` when no explicit model/pool is given
-    (the pool RNG is derived from the campaign seed), so a worker process
-    can rebuild the identical pool from the config alone.
-    """
-    if cfg.background == "production":
-        bm = background_model or BackgroundModel(top)
-        if scenarios is None:
-            pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
-            scenarios = bm.build_pool(
-                cfg.scenario_pool, pool_rng, reserve_nodes=cfg.n_nodes
-            )
-        return bm, scenarios
-    if cfg.background != "isolated":
-        raise ValueError(f"unknown background kind {cfg.background!r}")
-    return None, None
-
-
 def sample_draws(
     top: DragonflyTopology,
     cfg: CampaignConfig,
@@ -488,7 +471,7 @@ def sample_draws(
     return nodes, bg, intensity
 
 
-def _write_guard_bundle(
+def write_guard_bundle(
     top: DragonflyTopology,
     cfg: CampaignConfig,
     policy: GuardPolicy | None,
@@ -501,7 +484,8 @@ def _write_guard_bundle(
     exc: BaseException,
     tel: Telemetry,
 ) -> None:
-    """Best-effort diagnostics bundle for a guard-terminated run."""
+    """Best-effort diagnostics bundle for a guard-terminated run (or one
+    whose pool worker was lost; ``guard``/``ring`` are then ``None``)."""
     if policy is None or policy.bundle_dir is None:
         return
     path = write_bundle(
@@ -604,7 +588,7 @@ def execute_run(
             rec = _error_record(
                 cfg, mode, i, groups_spanned(top, nodes), intensity, exc, attempt
             )
-            _write_guard_bundle(
+            write_guard_bundle(
                 top, cfg, policy, guard, ring, label, i, mode, attempt, exc, tel
             )
         except Exception as exc:
@@ -689,10 +673,335 @@ def prepare_checkpoint(
     return done
 
 
-def emit_campaign_start(
-    tel: Telemetry, cfg: CampaignConfig, done: dict, **extra
-) -> None:
-    """The ``campaign.start`` trace event (shared with the parallel path)."""
+def effective_jobs(jobs: int | None) -> int:
+    """Resolve the worker count: explicit argument, else ``$REPRO_JOBS``."""
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
+        except ValueError:
+            jobs = 1
+    return max(1, int(jobs))
+
+
+# ----------------------------------------------------------------------
+# the campaign pipeline: plan -> sources -> backend -> merge -> sinks
+# ----------------------------------------------------------------------
+
+#: per-sample draws a :class:`SlotRunner` keeps (each entry holds a
+#: placement plus a masked background array); modes of the same sample
+#: reuse the entry
+DRAW_CACHE_CAP = 4
+
+
+@dataclass(frozen=True)
+class RunSlot:
+    """One run of a campaign's plan: its canonical index and RNG identity.
+
+    ``index`` is the run's position in the canonical (sample-major,
+    mode-minor) order: the order the serial loop executes and the order
+    checkpoint records are committed in.  Pipeline stages read only these
+    three fields, so a queue task (which adds its content address) serves
+    as a slot too.
+    """
+
+    index: int
+    sample: int
+    mode: str
+
+
+def plan_slots(cfg: CampaignConfig) -> list[RunSlot]:
+    """Every run of the campaign, sample-major and mode-minor."""
+    n = len(cfg.modes)
+    return [
+        RunSlot(i * n + k, i, mode.name)
+        for i in range(cfg.samples)
+        for k, mode in enumerate(cfg.modes)
+    ]
+
+
+@dataclass
+class SlotResult:
+    """One executed run, as a backend hands it to the merge."""
+
+    index: int
+    record: RunRecord
+    #: trace events captured where the run executed; empty when the run
+    #: wrote straight into the campaign's own telemetry
+    events: list[dict] = field(default_factory=list)
+    metrics: MetricsRegistry | None = None
+    #: the executing worker (pid or queue owner); the merge maps it to a
+    #: dense id
+    worker: object = None
+
+
+@dataclass
+class CampaignOutcome:
+    """What one campaign did: the records plus where each came from."""
+
+    records: list[RunRecord] = field(default_factory=list)
+    #: runs served from the result store
+    hits: int = 0
+    #: runs handed to the backend
+    misses: int = 0
+    #: runs already in the resumed checkpoint
+    resumed: int = 0
+
+    @property
+    def total(self) -> int:
+        return len(self.records)
+
+
+class CampaignContext:
+    """A campaign's inputs, as every pipeline stage sees them.
+
+    The background pool is built on first use (:meth:`background`), so a
+    campaign served entirely from its checkpoint or the result store
+    never builds it.  Under the ``fork`` start method pool workers
+    inherit the context by memory image; it is never pickled.
+    """
+
+    def __init__(
+        self,
+        top: DragonflyTopology,
+        cfg: CampaignConfig,
+        background_model: BackgroundModel | None = None,
+        scenarios: list[BackgroundScenario] | None = None,
+    ) -> None:
+        if cfg.background not in ("production", "isolated"):
+            raise ValueError(f"unknown background kind {cfg.background!r}")
+        self.top = top
+        self.cfg = cfg
+        # background scenarios are built against the pristine fabric
+        # (ambient traffic predates the fault window); the job itself
+        # routes on the degraded view
+        self.run_top = top.with_faults(cfg.faults) if cfg.faults is not None else top
+        self.modes = {m.name: m for m in cfg.modes}
+        self._background = (background_model, scenarios)
+        self._resolved = False
+
+    def background(
+        self,
+    ) -> tuple[BackgroundModel | None, list[BackgroundScenario] | None]:
+        """The ``(model, scenario pool)`` runs sample from, built once.
+
+        A pure function of ``(top, cfg)`` when no explicit model/pool was
+        given (the pool RNG is derived from the campaign seed), so a
+        worker process rebuilds the identical pool from the config alone.
+        """
+        if not self._resolved:
+            bm, scenarios = self._background
+            if self.cfg.background == "production":
+                cfg = self.cfg
+                bm = bm or BackgroundModel(self.top)
+                if scenarios is None:
+                    pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
+                    scenarios = bm.build_pool(
+                        cfg.scenario_pool, pool_rng, reserve_nodes=cfg.n_nodes
+                    )
+                self._background = (bm, scenarios)
+            else:
+                self._background = (None, None)
+            self._resolved = True
+        return self._background
+
+    def lost_record(self, slot: RunSlot, exc: BaseException, attempts: int) -> RunRecord:
+        """Error record for a run that never returned one (its worker
+        died every time, or its queue retry budget ran out)."""
+        nodes, _, intensity = sample_draws(
+            self.top, self.cfg, slot.sample, *self.background()
+        )
+        return _error_record(
+            self.cfg,
+            self.modes[slot.mode],
+            slot.sample,
+            groups_spanned(self.top, nodes),
+            intensity,
+            exc,
+            attempts,
+        )
+
+
+class SlotRunner:
+    """Run one slot: per-sample draws, telemetry capture, heartbeat, run.
+
+    The serial backend, fork-pool workers and queue workers all execute
+    runs through one of these.  With ``telemetry`` set, runs write
+    straight into it; otherwise each run gets a fresh capture bundle
+    (``trace``/``metrics``/``series`` say what to capture) that travels
+    back in its :class:`SlotResult` for the canonical merge.
+    ``execute``/``draws`` default to :func:`execute_run` and
+    :func:`sample_draws`; callers pass the names bound in their own
+    module so a patch there takes effect.
+    """
+
+    def __init__(
+        self,
+        ctx: CampaignContext,
+        *,
+        telemetry: Telemetry | None = None,
+        trace: bool = False,
+        metrics: bool = False,
+        series=None,
+        execute=None,
+        draws=None,
+    ) -> None:
+        self.ctx = ctx
+        self.telemetry = telemetry
+        self.trace = trace
+        self.metrics = metrics
+        self.series = series
+        self.execute = execute if execute is not None else execute_run
+        self.sample_draws = draws if draws is not None else sample_draws
+        #: a :class:`repro.guard.WorkerHeartbeat` marked busy around
+        #: every run (the watchdog's and ``queue-status``'s liveness file)
+        self.heartbeat = None
+        self._draws: dict[int, tuple] = {}
+
+    def draws(self, sample: int) -> tuple[np.ndarray, np.ndarray | None, float]:
+        d = self._draws.get(sample)
+        if d is None:
+            ctx = self.ctx
+            d = self.sample_draws(ctx.top, ctx.cfg, sample, *ctx.background())
+            if len(self._draws) >= DRAW_CACHE_CAP:
+                self._draws.pop(next(iter(self._draws)))
+            self._draws[sample] = d
+        return d
+
+    def run(self, slot: RunSlot) -> SlotResult:
+        ctx = self.ctx
+        nodes, bg, intensity = self.draws(slot.sample)
+        tel = self.telemetry
+        if tel is None:
+            tel = Telemetry(
+                trace=MemoryTraceWriter() if self.trace else NULL_TRACE,
+                metrics=MetricsRegistry(enabled=self.metrics),
+                series=self.series,
+            )
+        hb = self.heartbeat
+        if hb is not None:
+            hb.start_task()
+        try:
+            rec = self.execute(
+                ctx.top,
+                ctx.run_top,
+                ctx.cfg,
+                slot.sample,
+                ctx.modes[slot.mode],
+                nodes,
+                bg,
+                intensity,
+                tel,
+            )
+        finally:
+            if hb is not None:
+                hb.end_task()
+        if self.telemetry is not None:
+            return SlotResult(slot.index, rec)
+        return SlotResult(
+            slot.index,
+            rec,
+            events=tel.trace.events if self.trace else [],
+            metrics=tel.metrics if self.metrics else None,
+            worker=os.getpid(),
+        )
+
+
+@dataclass
+class SerialBackend:
+    """Execute every miss in this process, in plan order.
+
+    Backends share one shape: ``run(ctx, slots, tel, worker_ids)``
+    yields a :class:`SlotResult` per slot, in any order; ``worker_ids``
+    is the merge's dense-id map, for backends that announce workers.
+    """
+
+    #: the run function (default :func:`execute_run`)
+    execute: object = None
+
+    def run(self, ctx, slots, tel, worker_ids):
+        runner = SlotRunner(ctx, telemetry=tel, execute=self.execute)
+        for slot in slots:
+            yield runner.run(slot)
+
+
+class CanonicalMerge:
+    """Commit the contiguous completed prefix of the plan, in plan order.
+
+    A committed record is appended to the checkpoint (unless it was
+    resumed from it); a fresh run's captured trace events are re-emitted
+    tagged with a dense worker id and the run index, and its metrics are
+    merged under the run index.  Checkpoint bytes and merged telemetry
+    therefore do not depend on completion order, and an interrupted
+    campaign leaves a clean, resumable prefix of the serial file.
+    Parallel ensembles commit their results through the same merge.
+    """
+
+    def __init__(
+        self,
+        tel: Telemetry,
+        n: int,
+        checkpoint_path: str | None = None,
+        *,
+        index_field: str = "run_index",
+        on_commit=None,
+    ) -> None:
+        self.tel = tel
+        self.checkpoint_path = checkpoint_path
+        #: the trace field carrying a re-emitted event's slot index
+        self.index_field = index_field
+        #: called as ``on_commit(index, record)`` for each fresh result
+        self.on_commit = on_commit
+        self.records: list = [None] * n
+        #: results waiting for every earlier slot to commit
+        self.pending: dict[int, SlotResult] = {}
+        self.worker_ids: dict[object, int] = {}
+        self._pos = 0
+
+    def commit(self) -> None:
+        tel = self.tel
+        while self._pos < len(self.records):
+            if self.records[self._pos] is None:
+                res = self.pending.pop(self._pos, None)
+                if res is None:
+                    return
+                self.records[res.index] = res.record
+                if self.checkpoint_path is not None:
+                    ckpt.append_record(self.checkpoint_path, res.record)
+                if res.events:
+                    wid = self.worker_ids.setdefault(res.worker, len(self.worker_ids))
+                    for ev in res.events:
+                        fields = {k: v for k, v in ev.items() if k != "ev"}
+                        fields["worker"] = wid
+                        fields[self.index_field] = res.index
+                        tel.trace.emit(ev["ev"], **fields)
+                if res.metrics is not None and tel.metrics.enabled:
+                    tel.metrics.merge(res.metrics, tag=res.index)
+                if self.on_commit is not None:
+                    self.on_commit(res.index, res.record)
+            self._pos += 1
+
+
+def run_pipeline(
+    ctx: CampaignContext,
+    backend,
+    *,
+    telemetry: Telemetry | None = None,
+    checkpoint_path: str | None = None,
+    resume: bool = False,
+    store=None,
+    **start_fields,
+) -> CampaignOutcome:
+    """Run one campaign: plan, fill slots from the sources, execute the
+    misses on ``backend``, merge in canonical order.
+
+    Sources are the resumed checkpoint, then ``store`` (a
+    :class:`repro.service.store.RunRecordStore`) when given.  Every
+    fresh ``ok`` record is put back into the store as it arrives; error
+    records never are.  ``start_fields`` extend ``campaign.start``.
+    """
+    cfg = ctx.cfg
+    tel = resolve_telemetry(telemetry)
+    done = prepare_checkpoint(checkpoint_path, ctx.top, cfg, resume)
     tel.event(
         "campaign.start",
         app=cfg.app.name,
@@ -704,12 +1013,41 @@ def emit_campaign_start(
         seed=cfg.seed,
         faults=cfg.faults.describe() if cfg.faults else "",
         resumed_runs=len(done),
-        **extra,
+        **start_fields,
     )
+    plan = plan_slots(cfg)
+    merge = CanonicalMerge(tel, len(plan), checkpoint_path)
+    outcome = CampaignOutcome()
+    misses: list[RunSlot] = []
+    for slot in plan:
+        prior = done.get((slot.sample, slot.mode))
+        if prior is None:
+            misses.append(slot)
+        else:
+            merge.records[slot.index] = prior  # already on disk
+    outcome.resumed = len(plan) - len(misses)
 
+    with contextlib.ExitStack() as stack:
+        if store is not None:
+            from repro.service.store import entry_key
 
-def emit_campaign_end(tel: Telemetry, cfg: CampaignConfig, records: list[RunRecord]) -> None:
-    """The ``campaign.end`` trace event (shared with the parallel path)."""
+            fp = campaign_fingerprint(ctx.top, cfg)
+            stack.enter_context(store.pinned([entry_key(fp, s.sample, s.mode) for s in plan]))
+            misses = _store_lookup(store, fp, misses, merge, outcome, tel)
+        outcome.misses = len(misses)
+        merge.commit()  # leading hits (or a fully served campaign) commit now
+        if misses:
+            results = backend.run(ctx, misses, tel, merge.worker_ids)
+            try:
+                for res in results:
+                    if store is not None:
+                        _store_put(store, fp, plan[res.index], res.record, tel)
+                    merge.pending[res.index] = res
+                    merge.commit()
+            finally:
+                results.close()
+
+    records = outcome.records = [rec for rec in merge.records if rec is not None]
     tel.event(
         "campaign.end",
         app=cfg.app.name,
@@ -717,16 +1055,51 @@ def emit_campaign_end(tel: Telemetry, cfg: CampaignConfig, records: list[RunReco
         failed_runs=sum(1 for r in records if not r.ok),
         nonconverged_runs=sum(1 for r in records if not r.solver_converged),
     )
+    return outcome
 
 
-def _effective_jobs(jobs: int | None) -> int:
-    """Resolve the worker count: explicit argument, else ``$REPRO_JOBS``."""
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
-        except ValueError:
-            jobs = 1
-    return max(1, int(jobs))
+def _store_lookup(store, fp, misses, merge, outcome, tel) -> list[RunSlot]:
+    """The store source: buffer every hit; returns the slots still missing."""
+    still: list[RunSlot] = []
+    for slot in misses:
+        cached = store.get(fp, slot.sample, slot.mode)
+        if cached is None:
+            still.append(slot)
+        else:
+            merge.pending[slot.index] = SlotResult(
+                slot.index, ckpt.record_from_dict(cached)
+            )
+    outcome.hits = len(misses) - len(still)
+    m = tel.metrics
+    if m.enabled:
+        if outcome.hits:
+            m.counter("cache_hits_total", "runs served from the cache").inc(
+                outcome.hits
+            )
+        if still:
+            m.counter("cache_misses_total", "runs executed on a miss").inc(len(still))
+    tel.event(
+        "cache.lookup",
+        hits=outcome.hits,
+        misses=len(still),
+        resumed=outcome.resumed,
+        total=len(merge.records),
+        store=str(store.root),
+    )
+    return still
+
+
+def _store_put(store, fp, slot: RunSlot, rec: RunRecord, tel: Telemetry) -> None:
+    """The store sink: remember a fresh ``ok`` record."""
+    if not rec.ok:
+        return
+    try:
+        store.put(fp, slot.sample, slot.mode, ckpt.record_to_dict(rec))
+    except ckpt.StoreUnavailableError as exc:
+        # a full/broken cache disk degrades the store to a no-op: the
+        # run is already computed, the campaign (and its checkpoint)
+        # must not lose it
+        tel.event("cache.put_failed", sample=slot.sample, mode=slot.mode, error=str(exc))
 
 
 def run_campaign(
@@ -761,58 +1134,29 @@ def run_campaign(
     merges — falling back to the local pool if no worker ever shows up
     (see docs/DISTRIBUTED.md).  Results stay byte-identical either way.
     """
+    kw = dict(
+        background_model=background_model,
+        scenarios=scenarios,
+        telemetry=telemetry,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+    )
     if queue_dir is not None:
         from repro.dist.coordinator import run_campaign_distributed
 
-        return run_campaign_distributed(
-            top,
-            cfg,
-            queue_dir=queue_dir,
-            background_model=background_model,
-            scenarios=scenarios,
-            telemetry=telemetry,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            jobs=jobs,
-        )
-    n_jobs = _effective_jobs(jobs)
+        return run_campaign_distributed(top, cfg, queue_dir=queue_dir, jobs=jobs, **kw)
+    n_jobs = effective_jobs(jobs)
     if n_jobs > 1:
         from repro.parallel.campaign import run_campaign_parallel
 
-        return run_campaign_parallel(
-            top,
-            cfg,
-            jobs=n_jobs,
-            background_model=background_model,
-            scenarios=scenarios,
-            telemetry=telemetry,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-        )
-
-    # background scenarios are built against the pristine fabric (ambient
-    # traffic predates the fault window); the job itself routes on the
-    # degraded view
-    run_top = top.with_faults(cfg.faults) if cfg.faults is not None else top
-    done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
-    tel = resolve_telemetry(telemetry)
-    emit_campaign_start(tel, cfg, done)
-    bm, scenarios = resolve_scenarios(top, cfg, background_model, scenarios)
-
-    records: list[RunRecord] = []
-    for i in range(cfg.samples):
-        nodes, bg, intensity = sample_draws(top, cfg, i, bm, scenarios)
-        for mode in cfg.modes:
-            prior = done.get((i, mode.name))
-            if prior is not None:
-                records.append(prior)
-                continue
-            rec = execute_run(top, run_top, cfg, i, mode, nodes, bg, intensity, tel)
-            records.append(rec)
-            if checkpoint_path is not None:
-                ckpt.append_record(checkpoint_path, rec)
-    emit_campaign_end(tel, cfg, records)
-    return records
+        return run_campaign_parallel(top, cfg, jobs=n_jobs, **kw)
+    return run_pipeline(
+        CampaignContext(top, cfg, background_model, scenarios),
+        SerialBackend(execute_run),
+        telemetry=telemetry,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+    ).records
 
 
 def runtimes_by_mode(records: list[RunRecord], *, filter_outliers: bool = True) -> dict[str, np.ndarray]:

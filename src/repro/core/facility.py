@@ -34,7 +34,7 @@ from repro.mpi.env import RoutingEnv
 from repro.network.congestion import PACKET_BYTES
 from repro.network.counters import CounterBank
 from repro.network.fluid import FlowSet, FluidParams, solve_fluid
-from repro.scheduler.background import _job_flows
+from repro.scheduler.background import job_flows
 from repro.scheduler.placement import FreeNodePool, production_placement
 from repro.scheduler.workload import WorkloadModel
 from repro.telemetry import Telemetry, resolve_telemetry
@@ -122,7 +122,7 @@ def simulate_production_window(
                     (job, production_placement(top, job.n_nodes, rng, pool=pool))
                 )
         for job, nodes in placed:
-            p2p, a2a = _job_flows(job, nodes, rng)
+            p2p, a2a = job_flows(job, nodes, rng)
             if p2p.n:
                 p2p_parts.append(p2p.with_class(0))
             if a2a.n:

@@ -22,7 +22,7 @@ from repro.core.biases import RoutingMode
 from repro.core.experiment import mask_endpoint_background, run_app_once
 from repro.mpi.env import RoutingEnv
 from repro.network.fluid import FluidParams, solve_fluid
-from repro.scheduler.background import _job_flows
+from repro.scheduler.background import job_flows
 from repro.scheduler.jobs import Job
 from repro.scheduler.placement import FreeNodePool, production_placement
 from repro.topology.dragonfly import DragonflyTopology
@@ -57,7 +57,7 @@ def _aggressor_field(
 ) -> np.ndarray:
     """Steady-state utilization field of one aggressor job."""
     job = Job(n_nodes=aggressor_nodes.size, duration_hours=1.0, archetype=archetype)
-    p2p, a2a = _job_flows(job, aggressor_nodes, rng)
+    p2p, a2a = job_flows(job, aggressor_nodes, rng)
     from repro.network.fluid import FlowSet
 
     flows = FlowSet.concat([p2p.with_class(0), a2a.with_class(1)])

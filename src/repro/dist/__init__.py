@@ -8,8 +8,9 @@ hard links.  Results merge back in canonical order, byte-identical to a
 serial run — see ``docs/DISTRIBUTED.md``.
 
 * :class:`WorkQueue` — the directory protocol (leases, commits, scans);
-* :func:`run_campaign_distributed` — the coordinator (materialize,
-  merge, local fallback);
+* :func:`run_campaign_distributed` — the coordinator: the campaign
+  pipeline with :class:`~repro.dist.coordinator.QueueBackend`
+  (materialize, sweep results, local-pool fallback);
 * :class:`DistWorker` — the ``repro worker`` claim-execute-commit loop;
 * :mod:`repro.dist.manifest` — campaign ↔ JSON manifest round-trip.
 """

@@ -7,7 +7,7 @@ plain JSON; objects are reduced to the registry names and scalar
 parameters their constructors round-trip from:
 
 * topology: ``asdict(DragonflyParams)`` + structural seed (the same pair
-  :class:`repro.parallel.spec.TopologySpec` rebuilds from);
+  :class:`repro.parallel.cache.TopologySpec` rebuilds from);
 * application: its registry name (:func:`repro.apps.app_by_name`);
 * routing modes: registry names (:func:`repro.core.biases.mode_by_name`);
 * faults: the original ``FaultSchedule.parse`` text plus its seed
@@ -20,7 +20,9 @@ parameters their constructors round-trip from:
 Task ids are content-addressed over the campaign fingerprint plus the
 run's RNG key (see :func:`repro.dist.queue.task_id`), so a worker with a
 *different* campaign pointed at the same directory can never have its
-results mistaken for ours.
+results mistaken for ours.  A committed result is the wire form of one
+:class:`repro.core.experiment.SlotResult` (:func:`result_payload`,
+:func:`payload_result`).
 """
 
 from __future__ import annotations
@@ -29,11 +31,17 @@ from dataclasses import asdict
 
 from repro.apps import app_by_name
 from repro.core.biases import mode_by_name
-from repro.core.experiment import CampaignConfig, campaign_fingerprint
+from repro.core import checkpoint as ckpt
+from repro.core.experiment import (
+    CampaignConfig,
+    SlotResult,
+    campaign_fingerprint,
+    plan_slots,
+)
 from repro.dist.queue import QueueTask, task_id
 from repro.faults import FaultSchedule
 from repro.guard import GuardPolicy
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.series import SeriesConfig
 from repro.topology.dragonfly import DragonflyParams, DragonflyTopology
 
@@ -141,15 +149,40 @@ def manifest_series(manifest: dict) -> SeriesConfig | None:
 def build_tasks(top: DragonflyTopology, cfg: CampaignConfig) -> list[QueueTask]:
     """Every run of the campaign, in canonical (sample-major) order."""
     fp = campaign_fingerprint(top, cfg)
-    tasks: list[QueueTask] = []
-    for i in range(cfg.samples):
-        for mode in cfg.modes:
-            tasks.append(
-                QueueTask(
-                    tid=task_id(fp, i, mode.name),
-                    index=len(tasks),
-                    sample=i,
-                    mode=mode.name,
-                )
-            )
-    return tasks
+    return [
+        QueueTask(tid=task_id(fp, s.sample, s.mode), index=s.index, sample=s.sample, mode=s.mode)
+        for s in plan_slots(cfg)
+    ]
+
+
+def result_payload(
+    task: QueueTask,
+    res: SlotResult,
+    *,
+    worker: str,
+    attempt: int,
+    speculative: bool = False,
+) -> dict:
+    """The complete JSON result a queue commit carries for one run."""
+    return {
+        "tid": task.tid,
+        "index": task.index,
+        "record": ckpt.record_to_dict(res.record),
+        "events": res.events,
+        "metrics": res.metrics.to_wire() if res.metrics is not None else None,
+        "worker": worker,
+        "attempt": attempt,
+        "speculative": speculative,
+    }
+
+
+def payload_result(payload: dict) -> SlotResult:
+    """A committed result payload, back as the merge's :class:`SlotResult`."""
+    wire = payload.get("metrics")
+    return SlotResult(
+        int(payload["index"]),
+        ckpt.record_from_dict(payload["record"]),
+        events=payload.get("events") or [],
+        metrics=MetricsRegistry.from_wire(wire) if wire else None,
+        worker=str(payload.get("worker", "?")),
+    )

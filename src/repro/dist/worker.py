@@ -11,9 +11,10 @@ any instant and a fresh one (on any host) picks up where it left off:
   increments the attempt counter, and tasks whose retry budget is
   exhausted are skipped (the coordinator writes their error records).
 * **execute**: rebuild ``(topology, config)`` from the manifest and run
-  :func:`repro.core.experiment.execute_run` — the identical unit the
-  serial loop and fork pool run, deriving the run's RNG stream from the
-  same key, so the produced record is byte-for-byte the serial one.
+  the slot through :class:`repro.core.experiment.SlotRunner` — the
+  identical unit the serial loop and fork pool run, deriving the run's
+  RNG stream from the same key, so the produced record is byte-for-byte
+  the serial one.
   A renewal thread re-stamps the lease every ``ttl/3``; if renewal
   discovers the lease was stolen, the run finishes anyway and the
   commit races — first-commit-wins makes the loser harmless.
@@ -34,20 +35,13 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.chaos.failpoints import failpoint
-from repro.core import checkpoint as ckpt
-from repro.core.experiment import execute_run, resolve_scenarios, sample_draws
-from repro.dist.manifest import manifest_series, manifest_to_campaign
+from repro.core.experiment import CampaignContext, SlotRunner
+from repro.dist.manifest import manifest_series, manifest_to_campaign, result_payload
 from repro.dist.queue import Lease, QueueTask, QueueUnavailable, WorkQueue
 from repro.guard import WorkerHeartbeat, set_worker_heartbeat
-from repro.telemetry import (
-    MemoryTraceWriter,
-    MetricsRegistry,
-    NULL_TRACE,
-    Telemetry,
-)
 from repro.util.backoff import Backoff, BackoffPolicy
 
 #: park/retry schedule for queue outages and claim contention
@@ -72,15 +66,7 @@ class WorkerStats:
     parks: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "executed": self.executed,
-            "committed": self.committed,
-            "duplicates": self.duplicates,
-            "reclaims": self.reclaims,
-            "speculated": self.speculated,
-            "lost_leases": self.lost_leases,
-            "parks": self.parks,
-        }
+        return asdict(self)
 
 
 class _LeaseRenewer:
@@ -141,18 +127,8 @@ class DistWorker:
         self.stats = WorkerStats()
         self._deadline: float | None = None
         # prepared once the manifest appears
-        self._ready = False
-        self._top = None
-        self._run_top = None
-        self._cfg = None
-        self._bm = None
-        self._scenarios = None
-        self._modes: dict = {}
-        self._series = None
-        self._trace_enabled = False
-        self._metrics_enabled = False
+        self._runner: SlotRunner | None = None
         self._tasks: list[QueueTask] = []
-        self._sample_cache: dict[int, tuple] = {}
         self._speculated: set[str] = set()
         self._hb: WorkerHeartbeat | None = None
 
@@ -174,17 +150,13 @@ class DistWorker:
         top, cfg = manifest_to_campaign(
             manifest, bundle_dir=str(self.queue.bundles_dir)
         )
-        self._top = top
-        self._cfg = cfg
-        self._run_top = (
-            top.with_faults(cfg.faults) if cfg.faults is not None else top
-        )
-        self._bm, self._scenarios = resolve_scenarios(top, cfg, None, None)
-        self._modes = {m.name: m for m in cfg.modes}
-        self._series = manifest_series(manifest)
         t = manifest.get("telemetry", {})
-        self._trace_enabled = bool(t.get("trace", False))
-        self._metrics_enabled = bool(t.get("metrics", False))
+        runner = SlotRunner(
+            CampaignContext(top, cfg),
+            trace=bool(t.get("trace", False)),
+            metrics=bool(t.get("metrics", False)),
+            series=manifest_series(manifest),
+        )
         self._tasks = self.queue.manifest_tasks(manifest)
         self.queue.ttl = float(manifest.get("ttl", self.queue.ttl))
         self.queue.retry_budget = int(
@@ -198,63 +170,25 @@ class DistWorker:
             self.queue.heartbeats_dir.mkdir(parents=True, exist_ok=True)
             self._hb = WorkerHeartbeat(self.queue.heartbeats_dir, name=self.owner)
             set_worker_heartbeat(self._hb)
+            runner.heartbeat = self._hb
         except OSError:
-            self._hb = None
-        self._ready = True
+            pass
+        self._runner = runner  # ready
         return True
 
     # ------------------------------------------------------------------
     def _execute(self, task: QueueTask, *, speculative: bool, attempt: int) -> dict:
         """Run one task and build its (complete) result payload."""
-        draws = self._sample_cache.get(task.sample)
-        if draws is None:
-            draws = sample_draws(
-                self._top, self._cfg, task.sample, self._bm, self._scenarios
-            )
-            if len(self._sample_cache) >= 4:
-                self._sample_cache.pop(next(iter(self._sample_cache)))
-            self._sample_cache[task.sample] = draws
-        nodes, bg, intensity = draws
-        tel = Telemetry(
-            trace=MemoryTraceWriter() if self._trace_enabled else NULL_TRACE,
-            metrics=MetricsRegistry(enabled=self._metrics_enabled),
-            series=self._series,
-        )
+        hb = self._hb
         try:
-            failpoint(
-                "worker.heartbeat",
-                path=None if self._hb is None else self._hb.path,
-            )
+            failpoint("worker.heartbeat", path=None if hb is None else hb.path)
         except OSError:
             pass  # a heartbeat is advisory; losing it never fails the run
-        if self._hb is not None:
-            self._hb.start_task()
-        try:
-            rec = execute_run(
-                self._top,
-                self._run_top,
-                self._cfg,
-                task.sample,
-                self._modes[task.mode],
-                nodes,
-                bg,
-                intensity,
-                tel,
-            )
-        finally:
-            if self._hb is not None:
-                self._hb.end_task()
+        res = self._runner.run(task)
         self.stats.executed += 1
-        return {
-            "tid": task.tid,
-            "index": task.index,
-            "record": ckpt.record_to_dict(rec),
-            "events": tel.trace.events if self._trace_enabled else [],
-            "metrics": tel.metrics.to_wire() if self._metrics_enabled else None,
-            "worker": self.owner,
-            "attempt": attempt,
-            "speculative": speculative,
-        }
+        return result_payload(
+            task, res, worker=self.owner, attempt=attempt, speculative=speculative
+        )
 
     def _commit(self, task: QueueTask, payload: dict, *, speculative: bool) -> None:
         won = self.queue.commit_result(task.tid, payload)
@@ -342,7 +276,7 @@ class DistWorker:
         outage = 0
         while not self._expired():
             try:
-                if not self._ready:
+                if self._runner is None:
                     if not self._prepare():
                         time.sleep(self.poll)
                         continue

@@ -16,16 +16,16 @@ determinism contract; the short version:
 """
 
 from repro.parallel.cache import (
+    TopologySpec,
     cached_faulted_view,
     cached_topology,
     clear_topology_cache,
     freeze_topology_arrays,
     topology_cache_stats,
 )
-from repro.parallel.campaign import run_campaign_parallel
+from repro.parallel.campaign import PoolBackend, run_campaign_parallel
 from repro.parallel.ensembles import run_ensembles
 from repro.parallel.executor import TaskOutcome, run_tasks
-from repro.parallel.spec import RunTask, TaskResult, TopologySpec
 from repro.topology.pathcache import (
     cached_minimal_paths,
     cached_valiant_paths,
@@ -35,9 +35,8 @@ from repro.topology.pathcache import (
 )
 
 __all__ = [
-    "RunTask",
+    "PoolBackend",
     "TaskOutcome",
-    "TaskResult",
     "TopologySpec",
     "cached_faulted_view",
     "cached_minimal_paths",

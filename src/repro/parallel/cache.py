@@ -17,12 +17,33 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.faults import FaultSchedule
-from repro.parallel.spec import TopologySpec
-from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.dragonfly import DragonflyParams, DragonflyTopology
+
+
+@dataclass(frozen=True)
+class TopologySpec:
+    """Hashable, pickle-friendly identity of a pristine topology.
+
+    ``(params, seed)`` fully determine a :class:`DragonflyTopology`'s
+    structure — including the seeded global-cable assignment — so
+    :meth:`build` reconstructs a byte-identical system in any process.
+    """
+
+    params: DragonflyParams
+    seed: int = 0
+
+    @classmethod
+    def of(cls, top: DragonflyTopology) -> "TopologySpec":
+        return cls(params=top.params, seed=top.seed)
+
+    def build(self) -> DragonflyTopology:
+        return DragonflyTopology(self.params, seed=self.seed)
+
 
 _TOPO_MAXSIZE = 8
 _VIEW_MAXSIZE = 16

@@ -1,14 +1,15 @@
 """Parallel campaign execution with serial-equivalent results.
 
-:func:`run_campaign_parallel` fans a campaign's runs over worker
-processes and produces output **byte-identical** to
+:func:`run_campaign_parallel` runs the campaign pipeline
+(:func:`repro.core.experiment.run_pipeline`) with a :class:`PoolBackend`
+and produces output **byte-identical** to
 :func:`repro.core.experiment.run_campaign` with ``jobs=1``:
 
 * Every run's RNG stream is re-derived in the worker from the same
   ``(seed, app, size, sample, mode)`` key the serial loop uses — no
   state is threaded between runs, so worker count and completion order
   cannot influence a single draw (see ``docs/PARALLEL.md``).
-* Results are buffered and finalized in the canonical (sample-major,
+* The pipeline's canonical merge commits results in (sample-major,
   mode-minor) order: checkpoint records are appended, worker trace
   events forwarded, and worker metrics merged only for the contiguous
   completed prefix.  The checkpoint file is therefore always a clean,
@@ -25,132 +26,139 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import asdict
+from dataclasses import dataclass
 
-from repro.core import checkpoint as ckpt
 from repro.core.experiment import (
     CampaignConfig,
+    CampaignContext,
     RunRecord,
-    _error_record,
-    campaign_fingerprint,
-    emit_campaign_end,
-    emit_campaign_start,
+    RunSlot,
+    SlotResult,
+    SlotRunner,
     execute_run,
-    prepare_checkpoint,
-    resolve_scenarios,
+    run_pipeline,
     sample_draws,
+    write_guard_bundle,
 )
-from repro.guard import Watchdog, WorkerHeartbeat, set_worker_heartbeat, write_bundle
+from repro.guard import Watchdog, WorkerHeartbeat, set_worker_heartbeat
 from repro.parallel.executor import run_tasks
-from repro.parallel.spec import RunTask, TaskResult
 from repro.scheduler.background import BackgroundModel, BackgroundScenario
-from repro.scheduler.placement import groups_spanned
-from repro.telemetry import (
-    MemoryTraceWriter,
-    MetricsRegistry,
-    NULL_TRACE,
-    Telemetry,
-    resolve_telemetry,
-)
+from repro.telemetry import Telemetry
 from repro.topology.dragonfly import DragonflyTopology
 
-#: per-sample draws kept per worker (each entry holds a placement plus a
-#: masked background array); modes of the same sample reuse the entry
-_SAMPLE_CACHE_CAP = 4
-
-_CTX = None
-_SAMPLE_CACHE: dict[int, tuple] = {}
-_HB: WorkerHeartbeat | None = None
+_RUNNER: SlotRunner | None = None
 
 
-class _CampaignContext:
-    """Everything a worker needs, shipped once via the pool initializer.
-
-    Under the ``fork`` start method the context is inherited by memory
-    image (never pickled), so it can hold live topologies, applications,
-    and the pre-built scenario pool.
-    """
-
-    def __init__(
-        self,
-        top: DragonflyTopology,
-        run_top: DragonflyTopology,
-        cfg: CampaignConfig,
-        bm: BackgroundModel | None,
-        scenarios: list[BackgroundScenario] | None,
-        trace_enabled: bool,
-        metrics_enabled: bool,
-        series=None,
-        heartbeat_dir: str | None = None,
-    ) -> None:
-        self.top = top
-        self.run_top = run_top
-        self.cfg = cfg
-        self.bm = bm
-        self.scenarios = scenarios
-        self.trace_enabled = trace_enabled
-        self.metrics_enabled = metrics_enabled
-        #: SeriesConfig propagated to every worker's telemetry bundle
-        self.series = series
-        self.heartbeat_dir = heartbeat_dir
-        self.modes = {m.name: m for m in cfg.modes}
-
-
-def _init_worker(ctx: _CampaignContext) -> None:
-    global _CTX, _SAMPLE_CACHE, _HB
-    _CTX = ctx
-    _SAMPLE_CACHE = {}
-    _HB = None
-    if ctx.heartbeat_dir is not None:
+def _init_worker(runner: SlotRunner, heartbeat_dir: str | None) -> None:
+    global _RUNNER
+    _RUNNER = runner
+    if heartbeat_dir is not None:
         # every guard tick inside the engines refreshes this file's
         # mtime; the parent's watchdog reads staleness as "hung"
-        _HB = WorkerHeartbeat(ctx.heartbeat_dir)
-        set_worker_heartbeat(_HB)
+        runner.heartbeat = WorkerHeartbeat(heartbeat_dir)
+        set_worker_heartbeat(runner.heartbeat)
 
 
-def _worker_telemetry(ctx: _CampaignContext) -> Telemetry:
-    trace = MemoryTraceWriter() if ctx.trace_enabled else NULL_TRACE
-    return Telemetry(
-        trace=trace,
-        metrics=MetricsRegistry(enabled=ctx.metrics_enabled),
-        series=ctx.series,
-    )
+def _run_slot(slot: RunSlot) -> SlotResult:
+    return _RUNNER.run(slot)
 
 
-def _run_task(task: RunTask) -> TaskResult:
-    ctx = _CTX
-    draws = _SAMPLE_CACHE.get(task.sample)
-    if draws is None:
-        draws = sample_draws(ctx.top, ctx.cfg, task.sample, ctx.bm, ctx.scenarios)
-        if len(_SAMPLE_CACHE) >= _SAMPLE_CACHE_CAP:
-            _SAMPLE_CACHE.pop(next(iter(_SAMPLE_CACHE)))
-        _SAMPLE_CACHE[task.sample] = draws
-    nodes, bg, intensity = draws
-    tel = _worker_telemetry(ctx)
-    if _HB is not None:
-        _HB.start_task()
-    try:
-        rec = execute_run(
-            ctx.top,
-            ctx.run_top,
-            ctx.cfg,
-            task.sample,
-            ctx.modes[task.mode],
-            nodes,
-            bg,
-            intensity,
-            tel,
+@dataclass
+class PoolBackend:
+    """Fan misses over ``jobs`` forked worker processes.
+
+    Workers inherit the :class:`CampaignContext` (topology, config, the
+    background pool built just before the fork) and run slots through
+    one :class:`SlotRunner` each; results come back as record objects
+    with the run's captured telemetry.  With an active
+    ``GuardPolicy.hang_timeout`` a heartbeat watchdog SIGKILLs hung
+    workers.  A worker that dies on the same run past ``max_retries``
+    pool rebuilds turns it into an error record (``guard.worker_lost``,
+    plus a diagnostics bundle when configured).
+
+    ``scramble_seed`` is a test hook: it makes the dispatcher deliver
+    completions in a deterministically shuffled order, which must not —
+    and provably does not — change any output.
+    """
+
+    jobs: int
+    scramble_seed: int | None = None
+    max_retries: int = 2
+    #: the run function workers call (default: :func:`execute_run`)
+    execute: object = None
+
+    def run(self, ctx: CampaignContext, slots, tel: Telemetry, worker_ids):
+        ctx.background()  # built before the fork: every worker inherits it
+        runner = SlotRunner(
+            ctx,
+            trace=tel.trace.enabled,
+            metrics=tel.metrics.enabled,
+            series=tel.series,
+            execute=self.execute or execute_run,
+            draws=sample_draws,
         )
-    finally:
-        if _HB is not None:
-            _HB.end_task()
-    return TaskResult(
-        index=task.index,
-        pid=os.getpid(),
-        record=rec,
-        events=tel.trace.events if ctx.trace_enabled else [],
-        metrics=tel.metrics if ctx.metrics_enabled else None,
-    )
+        guard = ctx.cfg.guard
+        policy = guard if (guard is not None and guard.active) else None
+        heartbeat_dir = None
+        watchdog = None
+        if policy is not None and policy.hang_timeout is not None:
+            heartbeat_dir = tempfile.mkdtemp(prefix="repro-hb-")
+            # published so live observers (``repro-study top``) can find
+            # the per-worker liveness files without being told the directory
+            tel.event("campaign.workers", jobs=self.jobs, heartbeat_dir=heartbeat_dir)
+            watchdog = Watchdog(
+                heartbeat_dir,
+                policy.hang_timeout,
+                pid_provider=lambda: set(),  # run_tasks rebinds this per pool
+                on_kill=lambda pid, age: tel.event(
+                    "guard.worker_hung", pid=pid, stale_s=round(age, 3)
+                ),
+            )
+        outcomes = run_tasks(
+            slots,
+            _run_slot,
+            jobs=self.jobs,
+            initializer=_init_worker,
+            initargs=(runner, heartbeat_dir),
+            max_retries=self.max_retries,
+            scramble_seed=self.scramble_seed,
+            watchdog=watchdog,
+        )
+        try:
+            if watchdog is not None:
+                watchdog.start()
+            for outcome in outcomes:
+                if outcome.ok:
+                    yield outcome.result
+                else:
+                    yield self._lost(ctx, policy, tel, outcome)
+        finally:
+            # closing reaps the pool's workers if we are being abandoned
+            outcomes.close()
+            if watchdog is not None:
+                watchdog.stop()
+            if heartbeat_dir is not None:
+                shutil.rmtree(heartbeat_dir, ignore_errors=True)
+
+    def _lost(self, ctx: CampaignContext, policy, tel: Telemetry, outcome) -> SlotResult:
+        """The worker process died on this run every time (crash or
+        watchdog kill): isolate it exactly like an in-run failure."""
+        slot = outcome.task
+        rec = ctx.lost_record(slot, outcome.error, outcome.attempts)
+        label = f"{ctx.cfg.app.name}-{slot.mode}-s{slot.sample}"
+        tel.event(
+            "guard.worker_lost",
+            label=label,
+            sample=slot.sample,
+            mode=slot.mode,
+            attempts=outcome.attempts,
+            error=str(outcome.error),
+        )
+        write_guard_bundle(
+            ctx.top, ctx.cfg, policy, None, None, label, slot.sample,
+            ctx.modes[slot.mode], outcome.attempts, outcome.error, tel,
+        )
+        return SlotResult(slot.index, rec, worker=os.getpid())
 
 
 def run_campaign_parallel(
@@ -168,153 +176,14 @@ def run_campaign_parallel(
 ) -> list[RunRecord]:
     """Parallel twin of ``run_campaign`` (which delegates here for jobs>1).
 
-    ``scramble_seed`` is a test hook: it makes the dispatcher deliver
-    completions in a deterministically shuffled order, which must not —
-    and provably does not — change any output.
+    ``scramble_seed`` and ``max_pool_retries`` configure the
+    :class:`PoolBackend`.
     """
-    run_top = top.with_faults(cfg.faults) if cfg.faults is not None else top
-    done = prepare_checkpoint(checkpoint_path, top, cfg, resume)
-    tel = resolve_telemetry(telemetry)
-    emit_campaign_start(tel, cfg, done, jobs=jobs)
-    bm, scenarios = resolve_scenarios(top, cfg, background_model, scenarios)
-
-    mode_by_name = {m.name: m for m in cfg.modes}
-    slots: list[RunRecord | None] = []
-    tasks: list[RunTask] = []
-    for i in range(cfg.samples):
-        for mode in cfg.modes:
-            idx = len(slots)
-            prior = done.get((i, mode.name))
-            slots.append(prior)
-            if prior is None:
-                tasks.append(RunTask(index=idx, sample=i, mode=mode.name))
-
-    ctx = _CampaignContext(
-        top,
-        run_top,
-        cfg,
-        bm,
-        scenarios,
-        trace_enabled=tel.trace.enabled,
-        metrics_enabled=tel.metrics.enabled,
-        series=tel.series,
-    )
-
-    buffered: dict[int, TaskResult] = {}
-    worker_ids: dict[int, int] = {}
-    flush_pos = 0
-
-    def _finalize_ready() -> None:
-        """Commit the contiguous completed prefix, in canonical order."""
-        nonlocal flush_pos
-        while flush_pos < len(tasks):
-            tr = buffered.pop(tasks[flush_pos].index, None)
-            if tr is None:
-                return
-            rec = tr.record
-            slots[tr.index] = rec
-            if checkpoint_path is not None:
-                ckpt.append_record(checkpoint_path, rec)
-            if tr.events:
-                wid = worker_ids.setdefault(tr.pid, len(worker_ids))
-                for ev in tr.events:
-                    fields = {k: v for k, v in ev.items() if k != "ev"}
-                    fields["worker"] = wid
-                    fields["run_index"] = tr.index
-                    tel.trace.emit(ev["ev"], **fields)
-            if tr.metrics is not None:
-                tel.metrics.merge(tr.metrics, tag=tr.index)
-            flush_pos += 1
-
-    guard_policy = cfg.guard if (cfg.guard is not None and cfg.guard.active) else None
-    watchdog = None
-    if tasks and guard_policy is not None and guard_policy.hang_timeout is not None:
-        ctx.heartbeat_dir = tempfile.mkdtemp(prefix="repro-hb-")
-        # published so live observers (``repro-study top``) can find the
-        # per-worker liveness files without being told the directory
-        tel.event("campaign.workers", jobs=jobs, heartbeat_dir=ctx.heartbeat_dir)
-        watchdog = Watchdog(
-            ctx.heartbeat_dir,
-            guard_policy.hang_timeout,
-            pid_provider=lambda: set(),  # run_tasks rebinds this per pool
-            on_kill=lambda pid, age: tel.event(
-                "guard.worker_hung", pid=pid, stale_s=round(age, 3)
-            ),
-        )
-
-    if tasks:
-        try:
-            if watchdog is not None:
-                watchdog.start()
-            for outcome in run_tasks(
-                tasks,
-                _run_task,
-                jobs=jobs,
-                initializer=_init_worker,
-                initargs=(ctx,),
-                max_retries=max_pool_retries,
-                scramble_seed=scramble_seed,
-                watchdog=watchdog,
-            ):
-                task = outcome.task
-                if outcome.ok:
-                    buffered[task.index] = outcome.result
-                else:
-                    # the worker process died repeatedly on this run (crash
-                    # or watchdog kill): isolate it exactly like an in-run
-                    # failure would be
-                    nodes, _, intensity = sample_draws(
-                        top, cfg, task.sample, bm, scenarios
-                    )
-                    rec = _error_record(
-                        cfg,
-                        mode_by_name[task.mode],
-                        task.sample,
-                        groups_spanned(top, nodes),
-                        intensity,
-                        outcome.error,
-                        outcome.attempts,
-                    )
-                    label = f"{cfg.app.name}-{task.mode}-s{task.sample}"
-                    tel.event(
-                        "guard.worker_lost",
-                        label=label,
-                        sample=task.sample,
-                        mode=task.mode,
-                        attempts=outcome.attempts,
-                        error=str(outcome.error),
-                    )
-                    if guard_policy is not None and guard_policy.bundle_dir is not None:
-                        path = write_bundle(
-                            guard_policy.bundle_dir,
-                            label=label,
-                            reason={
-                                "type": type(outcome.error).__name__,
-                                "message": str(outcome.error),
-                            },
-                            fingerprint=campaign_fingerprint(top, cfg),
-                            rng_key={
-                                "seed": cfg.seed,
-                                "app": cfg.app.name,
-                                "n_nodes": cfg.n_nodes,
-                                "sample": task.sample,
-                                "mode": task.mode,
-                                "attempt": outcome.attempts,
-                            },
-                            policy=asdict(guard_policy),
-                        )
-                        if path is not None:
-                            tel.event("guard.bundle", label=label, path=str(path))
-                    buffered[task.index] = TaskResult(
-                        index=task.index, pid=os.getpid(), record=rec
-                    )
-                _finalize_ready()
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
-            if ctx.heartbeat_dir is not None:
-                shutil.rmtree(ctx.heartbeat_dir, ignore_errors=True)
-
-    records = [rec for rec in slots if rec is not None]
-    emit_campaign_end(tel, cfg, records)
-    return records
+    return run_pipeline(
+        CampaignContext(top, cfg, background_model, scenarios),
+        PoolBackend(jobs, scramble_seed, max_pool_retries),
+        telemetry=telemetry,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        jobs=jobs,
+    ).records

@@ -7,9 +7,10 @@ results are identical to running them in a serial loop — the same
 determinism-by-construction contract the campaign dispatcher relies on.
 
 Results are delivered to ``on_result`` in **canonical list order**
-(index 0 first), regardless of completion order, so callers can stream
-output or persist a resumable checkpoint: after Ctrl-C, everything
-delivered is a clean prefix of the serial output.
+(index 0 first), regardless of completion order — they commit through
+the campaign pipeline's :class:`~repro.core.experiment.CanonicalMerge`
+— so callers can stream output or persist a resumable checkpoint: after
+Ctrl-C, everything delivered is a clean prefix of the serial output.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 from typing import Callable
 
 from repro.core.ensembles import EnsembleConfig, EnsembleResult, run_ensemble
+from repro.core.experiment import CanonicalMerge, SlotResult
 from repro.parallel.executor import run_tasks
 from repro.telemetry import (
     MemoryTraceWriter,
@@ -44,17 +46,17 @@ def _init_worker(ctx: _EnsembleContext) -> None:
     _CTX = ctx
 
 
-def _run_one(idx: int):
+def _run_one(idx: int) -> SlotResult:
     ctx = _CTX
     trace = MemoryTraceWriter() if ctx.trace_enabled else NULL_TRACE
     tel = Telemetry(trace=trace, metrics=MetricsRegistry(enabled=ctx.metrics_enabled))
     res = run_ensemble(ctx.top, ctx.cfgs[idx], telemetry=tel)
-    return (
+    return SlotResult(
         idx,
-        os.getpid(),
         res,
-        trace.events if ctx.trace_enabled else [],
-        tel.metrics if ctx.metrics_enabled else None,
+        events=trace.events if ctx.trace_enabled else [],
+        metrics=tel.metrics if ctx.metrics_enabled else None,
+        worker=os.getpid(),
     )
 
 
@@ -88,32 +90,9 @@ def run_ensembles(
     ctx = _EnsembleContext(
         top, list(cfgs), tel.trace.enabled, tel.metrics.enabled
     )
-    slots: list[EnsembleResult | None] = [None] * len(cfgs)
-    buffered: dict[int, tuple] = {}
-    worker_ids: dict[int, int] = {}
-    flush_pos = 0
-
-    def _finalize_ready() -> None:
-        nonlocal flush_pos
-        while flush_pos < len(cfgs):
-            item = buffered.pop(flush_pos, None)
-            if item is None:
-                return
-            idx, pid, res, events, metrics = item
-            slots[idx] = res
-            if events:
-                wid = worker_ids.setdefault(pid, len(worker_ids))
-                for ev in events:
-                    fields = {k: v for k, v in ev.items() if k != "ev"}
-                    fields["worker"] = wid
-                    fields["ensemble_index"] = idx
-                    tel.trace.emit(ev["ev"], **fields)
-            if metrics is not None:
-                tel.metrics.merge(metrics)
-            if on_result is not None:
-                on_result(idx, res)
-            flush_pos += 1
-
+    merge = CanonicalMerge(
+        tel, len(cfgs), index_field="ensemble_index", on_commit=on_result
+    )
     for outcome in run_tasks(
         list(range(len(cfgs))),
         _run_one,
@@ -127,7 +106,6 @@ def run_ensembles(
                 f"ensemble {outcome.task} lost its worker process "
                 f"{outcome.attempts} times"
             ) from outcome.error
-        buffered[outcome.task] = outcome.result
-        _finalize_ready()
-
-    return [res for res in slots if res is not None]
+        merge.pending[outcome.task] = outcome.result
+        merge.commit()
+    return merge.records

@@ -23,6 +23,8 @@ contract with callers:
   no orphans behind, and propagate — leaving whatever the caller already
   consumed intact.  This is what makes a killed checkpointed campaign
   resumable.
+* Workers exit on their own within :data:`PARENT_POLL` seconds of the
+  parent dying abruptly (SIGKILL, ``os._exit``), which no handler sees.
 * A :class:`repro.guard.Watchdog` can be attached via ``watchdog=``;
   the dispatcher points it at each live pool's worker pids so stale
   heartbeats get the worker SIGKILLed — which surfaces here as a broken
@@ -35,6 +37,7 @@ import multiprocessing as mp
 import os
 import signal
 import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -53,6 +56,9 @@ DEFAULT_MP_CONTEXT = "fork"
 #: rounds stay inside CI timeouts
 POOL_RETRY_BACKOFF = BackoffPolicy(base=0.05, cap=1.0)
 
+#: seconds between a pool worker's checks that its parent is alive
+PARENT_POLL = 0.5
+
 
 @dataclass
 class TaskOutcome:
@@ -66,6 +72,24 @@ class TaskOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+def _init_pool_worker(parent: int, initializer, initargs: tuple) -> None:
+    """Tie the worker's life to its parent's, then run the caller's init.
+
+    A worker blocked on the task queue never sees its parent die (it
+    holds both ends of the queue's pipe itself), so a parent that exits
+    abruptly — SIGKILL, ``os._exit`` — would orphan it forever.
+    """
+
+    def exit_with_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, name="repro-parent-watch", daemon=True).start()
+    if initializer is not None:
+        initializer(*initargs)
 
 
 def _pool_pids(pool: ProcessPoolExecutor) -> set[int]:
@@ -152,8 +176,8 @@ def run_tasks(
         pool = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=ctx,
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_init_pool_worker,
+            initargs=(os.getpid(), initializer, initargs),
         )
         if watchdog is not None:
             # only this pool's workers are fair game for the watchdog;

@@ -67,7 +67,7 @@ class BackgroundScenario:
         return np.clip(self.util * intensity, 0.0, 0.9)
 
 
-def _job_flows(
+def job_flows(
     job: Job,
     nodes: np.ndarray,
     rng: np.random.Generator,
@@ -118,6 +118,10 @@ def _job_flows(
     raise KeyError(f"unknown archetype {job.archetype!r}")
 
 
+#: the name this helper had while it was private to the scheduler
+_job_flows = job_flows
+
+
 @dataclass
 class BackgroundModel:
     """Builds and pools background scenarios for a system."""
@@ -155,7 +159,7 @@ class BackgroundModel:
                 continue
             nodes = production_placement(self.top, job.n_nodes, rng, pool=pool)
             job.nodes = nodes
-            p2p, a2a = _job_flows(job, nodes, rng)
+            p2p, a2a = job_flows(job, nodes, rng)
             if p2p.n:
                 p2p_parts.append(p2p.with_class(0))
             if a2a.n:

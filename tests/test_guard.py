@@ -421,8 +421,25 @@ class TestWatchdog:
         hb.end_task()
 
 
+def _hung_parallel(top, cfg, tel, tmp_path):
+    records = run_campaign_parallel(top, cfg, jobs=2, telemetry=tel, max_pool_retries=1)
+    return records, 2  # one retry round
+
+
+def _hung_cached(top, cfg, tel, tmp_path):
+    from repro.service import RunRecordStore, run_campaign_cached
+
+    out = run_campaign_cached(
+        top, cfg, store=RunRecordStore(tmp_path / "cache"), jobs=2, telemetry=tel
+    )
+    return out.records, 3  # the pool's default two retry rounds
+
+
 class TestHungWorker:
-    def test_hung_worker_killed_and_isolated(self, top, monkeypatch):
+    @pytest.mark.parametrize(
+        "dispatch", [_hung_parallel, _hung_cached], ids=["parallel", "cached"]
+    )
+    def test_hung_worker_killed_and_isolated(self, top, monkeypatch, tmp_path, dispatch):
         import dataclasses
 
         cfg = _cfg()
@@ -444,24 +461,25 @@ class TestHungWorker:
             cfg, guard=GuardPolicy(hang_timeout=2.0)
         )
         t0 = time.monotonic()
-        records = run_campaign_parallel(
-            top, guarded_cfg, jobs=2, telemetry=tel, max_pool_retries=1
-        )
+        records, attempts = dispatch(top, guarded_cfg, tel, tmp_path)
         elapsed = time.monotonic() - t0
-        assert elapsed < 120.0  # two watchdog rounds, not a 600 s hang
+        assert elapsed < 120.0  # a few watchdog rounds, not a 600 s hang
 
         by_key = {(r.sample_index, r.mode): r for r in records}
         bad = by_key[(1, "AD0")]
         assert bad.status == "error" and "worker died" in bad.error
-        assert bad.attempts == 2
+        assert bad.attempts == attempts
 
         evs = [e for e in tel.trace.events if e["ev"] == "guard.worker_hung"]
-        assert len(evs) == 2  # one kill per retry round
+        assert len(evs) == attempts  # one kill per pool round
         assert all(e["stale_s"] >= 1.0 for e in evs)
         assert any(
             e["ev"] == "guard.worker_lost" and e["label"] == target
             for e in tel.trace.events
         )
+        # live observers size the worker table from campaign.start
+        start = next(e for e in tel.trace.events if e["ev"] == "campaign.start")
+        assert start["jobs"] == 2
 
         # every surviving run byte-identical to the guard-disabled serial
         plain_by_key = {(r.sample_index, r.mode): r for r in plain}
