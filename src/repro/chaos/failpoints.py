@@ -35,16 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (schedule imports us)
 #: catalog and the per-site test table in lockstep.
 SITES: dict[str, str] = {
     "store.commit.post_tmp": (
-        "RunRecordStore.put, after the entry's tmp file is written but "
-        "before it is fsynced (torn-write window)"
+        "RunRecordStore.put/put_pool, after the entry's tmp file is "
+        "written but before it is fsynced (torn-write window)"
     ),
     "store.commit.pre_rename": (
-        "RunRecordStore.put, after fsync but before os.replace publishes "
-        "the entry (crash leaves only invisible scratch)"
+        "RunRecordStore.put/put_pool, after fsync but before os.replace "
+        "publishes the entry (crash leaves only invisible scratch)"
     ),
     "store.get.read": (
-        "RunRecordStore.get, before the entry file is read (an EIO here "
-        "must degrade to a cache miss)"
+        "RunRecordStore.get/get_pool, before the entry file is read (an "
+        "EIO here must degrade to a cache miss)"
     ),
     "checkpoint.append": (
         "checkpoint.append_record, before one record line is appended "
@@ -89,7 +89,7 @@ class UnknownFailpointError(ValueError):
 _active: "ChaosSchedule | None" = None
 
 
-def failpoint(site: str, *, path=None, data: str | None = None) -> None:
+def failpoint(site: str, *, path=None, data: str | bytes | None = None) -> None:
     """Declare one injection site hit.
 
     With no active schedule this returns immediately.  ``path`` names

@@ -53,12 +53,29 @@ def write_text_atomic(
     failpoints are optional so protocols can expose only the windows
     they care about.
     """
-    with open(tmp, "w") as f:
-        f.write(text)
+    _publish(path, text, tmp, "w", post_tmp, pre_rename)
+
+
+def write_bytes_atomic(
+    path: Path | str,
+    data: bytes,
+    tmp: Path | str,
+    *,
+    post_tmp: str | None = None,
+    pre_rename: str | None = None,
+) -> None:
+    """:func:`write_text_atomic` for a binary payload (same syscalls,
+    same failpoints)."""
+    _publish(path, data, tmp, "wb", post_tmp, pre_rename)
+
+
+def _publish(path, data, tmp, mode: str, post_tmp, pre_rename) -> None:
+    with open(tmp, mode) as f:
+        f.write(data)
         f.flush()
         if post_tmp is not None:
-            failpoint(post_tmp, path=tmp, data=text)
+            failpoint(post_tmp, path=tmp, data=data)
         os.fsync(f.fileno())
     if pre_rename is not None:
-        failpoint(pre_rename, path=path, data=text)
+        failpoint(pre_rename, path=path, data=data)
     os.replace(tmp, path)

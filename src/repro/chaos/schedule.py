@@ -196,7 +196,7 @@ class ChaosSchedule:
         return "; ".join(r.source or f"{r.pattern}:{r.action}" for r in self.rules)
 
     # ------------------------------------------------------------------
-    def hit(self, site: str, *, path=None, data: str | None = None) -> None:
+    def hit(self, site: str, *, path=None, data: str | bytes | None = None) -> None:
         """One failpoint hit: count it, match rules, maybe act."""
         with self._lock:
             n = self.hits.get(site, 0) + 1
@@ -275,7 +275,7 @@ class ChaosSchedule:
         )
 
     @staticmethod
-    def _tear(path, data: str | None) -> None:
+    def _tear(path, data: str | bytes | None) -> None:
         """Leave a believable half-written file behind before raising.
 
         With ``data`` (the payload in flight) the first half is appended
@@ -286,8 +286,9 @@ class ChaosSchedule:
             return
         try:
             if data:
+                raw = data if isinstance(data, bytes) else data.encode()
                 with open(path, "ab") as f:
-                    f.write(data.encode()[: max(1, len(data) // 2)])
+                    f.write(raw[: max(1, len(data) // 2)])
                     f.flush()
                     os.fsync(f.fileno())
             elif os.path.exists(path):

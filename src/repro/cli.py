@@ -613,6 +613,7 @@ def cmd_cache_status(args) -> int:
         f"cache {store.root}: {st.entries} entries  {st.bytes} bytes  "
         f"{st.quarantined_files} quarantined"
     )
+    print(f"  pool_entries {st.pool_entries}  pool_bytes {st.pool_bytes}")
     return 0
 
 

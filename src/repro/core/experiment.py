@@ -33,9 +33,16 @@ from repro.mpi.env import RoutingEnv
 from repro.mpi.patterns import Phase, TrafficOp
 from repro.network.counters import CounterBank
 from repro.network.fluid import FlowSet, FluidParams, FluidResult, solve_fluid
-from repro.scheduler.background import BackgroundModel, BackgroundScenario
+from repro.scheduler.background import (
+    BackgroundModel,
+    BackgroundScenario,
+    pool_from_bytes,
+    pool_identity,
+    pool_to_bytes,
+)
 from repro.scheduler.placement import groups_spanned, make_placement
 from repro.telemetry import (
+    NULL_TELEMETRY,
     NULL_TRACE,
     MemoryTraceWriter,
     MetricsRegistry,
@@ -751,6 +758,13 @@ class CampaignOutcome:
         return len(self.records)
 
 
+#: metrics counter (name, help) per ``cache.pool`` result
+_POOL_COUNTERS = {
+    "hit": ("cache_pool_hits_total", "background pools read from the result store"),
+    "miss": ("cache_pool_misses_total", "background pools built on a result-store miss"),
+}
+
+
 class CampaignContext:
     """A campaign's inputs, as every pipeline stage sees them.
 
@@ -758,6 +772,12 @@ class CampaignContext:
     campaign served entirely from its checkpoint or the result store
     never builds it.  Under the ``fork`` start method pool workers
     inherit the context by memory image; it is never pickled.
+
+    With :attr:`store` set (:func:`run_pipeline` sets it to the
+    campaign's result store), a pool the campaign would build is first
+    looked up in the store under its :meth:`pool_identity`, and
+    committed there after a build, reporting ``cache.pool`` on
+    :attr:`telemetry`.
     """
 
     def __init__(
@@ -778,6 +798,28 @@ class CampaignContext:
         self.modes = {m.name: m for m in cfg.modes}
         self._background = (background_model, scenarios)
         self._resolved = False
+        #: a :class:`repro.service.store.RunRecordStore` holding pools
+        self.store = None
+        self.telemetry: Telemetry = NULL_TELEMETRY
+
+    def _model(self) -> BackgroundModel:
+        return self._background[0] or BackgroundModel(self.top)
+
+    def _pool_rng_key(self) -> tuple:
+        cfg = self.cfg
+        return (cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
+
+    def pool_identity(self) -> dict | None:
+        """Identity of the pool this campaign builds
+        (:func:`repro.scheduler.background.pool_identity`); ``None`` when
+        it builds none: an isolated background, or an explicit pool."""
+        if self.cfg.background != "production" or self._background[1] is not None:
+            return None
+        return self._identity(self._model())
+
+    def _identity(self, bm: BackgroundModel) -> dict | None:
+        cfg = self.cfg
+        return pool_identity(bm, self._pool_rng_key(), cfg.scenario_pool, cfg.n_nodes)
 
     def background(
         self,
@@ -791,18 +833,51 @@ class CampaignContext:
         if not self._resolved:
             bm, scenarios = self._background
             if self.cfg.background == "production":
-                cfg = self.cfg
-                bm = bm or BackgroundModel(self.top)
+                bm = self._model()
                 if scenarios is None:
-                    pool_rng = derive_rng(cfg.seed, "bgpool", cfg.app.name, cfg.n_nodes)
-                    scenarios = bm.build_pool(
-                        cfg.scenario_pool, pool_rng, reserve_nodes=cfg.n_nodes
-                    )
+                    scenarios = self._stored_pool(bm)
                 self._background = (bm, scenarios)
             else:
                 self._background = (None, None)
             self._resolved = True
         return self._background
+
+    def _stored_pool(self, bm: BackgroundModel) -> list[BackgroundScenario]:
+        """Build the pool, or read it from :attr:`store` when it holds it."""
+        cfg, store, tel = self.cfg, self.store, self.telemetry
+        ident = None if store is None else self._identity(bm)
+        if ident is not None:
+            found = store.get_pool(ident)
+            if found is not None:
+                scenarios = pool_from_bytes(*found, bm.default_env)
+                self._pool_event("hit", ident, len(found[1]))
+                return scenarios
+        scenarios = bm.build_pool(
+            cfg.scenario_pool, derive_rng(*self._pool_rng_key()), reserve_nodes=cfg.n_nodes
+        )
+        if ident is not None:
+            meta, payload = pool_to_bytes(scenarios)
+            self._pool_event("miss", ident, len(payload))
+            try:
+                store.put_pool(ident, meta, payload)
+            except ckpt.StoreUnavailableError as exc:
+                # as for a run: the pool is built, only its reuse is lost
+                tel.event("cache.pool_put_failed", error=str(exc))
+        return scenarios
+
+    def _pool_event(self, result: str, ident: dict, nbytes: int) -> None:
+        from repro.service.store import pool_key
+
+        tel = self.telemetry
+        if tel.metrics.enabled:
+            tel.metrics.counter(*_POOL_COUNTERS[result]).inc()
+        tel.event(
+            "cache.pool",
+            result=result,
+            key=pool_key(ident)[:12],
+            bytes=nbytes,
+            store=str(self.store.root),
+        )
 
     def lost_record(self, slot: RunSlot, exc: BaseException, attempts: int) -> RunRecord:
         """Error record for a run that never returned one (its worker
@@ -1027,6 +1102,7 @@ def run_pipeline(
             merge.records[slot.index] = prior  # already on disk
     outcome.resumed = len(plan) - len(misses)
 
+    ctx.store, ctx.telemetry = store, tel
     with contextlib.ExitStack() as stack:
         if store is not None:
             from repro.service.store import entry_key

@@ -21,7 +21,9 @@ months" enters the simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from repro.mpi.env import RoutingEnv
 from repro.network.fluid import FlowSet, FluidParams, solve_fluid
 from repro.scheduler.jobs import Job
 from repro.scheduler.placement import FreeNodePool, production_placement
-from repro.scheduler.workload import WorkloadModel
+from repro.scheduler.workload import ARCHETYPE_WEIGHTS, WorkloadModel
 from repro.topology.dragonfly import DragonflyTopology
 from repro.util import GB
 from repro.apps.base import grid_dims, random_pair_flows, stencil_flows
@@ -47,6 +49,16 @@ ARCHETYPE_RATES: dict[str, float] = {
     "io_incast": 1.5 * GB,
     "quiet": 0.1 * GB,
 }
+
+
+#: solver settings of the background fluid solves (coarser than a run's:
+#: the pool only needs each scenario's equilibrium link utilization)
+POOL_FLUID_PARAMS = FluidParams(k_min=2, k_nonmin=2, n_iter=4)
+
+#: version of the pool-construction contract.  :func:`pool_identity`
+#: includes it, so bump it whenever a pool built from the same inputs
+#: would come out different: stored pools of the old version then miss.
+POOL_CONTRACT = 1
 
 
 @dataclass
@@ -166,13 +178,12 @@ class BackgroundModel:
                 a2a_parts.append(a2a.with_class(1))
             placed += job.n_nodes
         flows = FlowSet.concat(p2p_parts + a2a_parts)
-        params = FluidParams(k_min=2, k_nonmin=2, n_iter=4)
         res = solve_fluid(
             self.top,
             flows,
             [self.default_env.p2p_mode, self.default_env.a2a_mode],
             rng=rng,
-            params=params,
+            params=POOL_FLUID_PARAMS,
             fixed_duration=1.0,
         )
         return BackgroundScenario(
@@ -200,3 +211,84 @@ class BackgroundModel:
         return float(
             np.clip(rng.lognormal(self.intensity_log_mean, self.intensity_log_sigma), 0.05, 1.3)
         )
+
+
+def pool_identity(
+    bm: BackgroundModel,
+    rng_key: tuple,
+    n_scenarios: int,
+    reserve_nodes: int,
+) -> dict | None:
+    """Everything that reaches ``bm.build_pool(n_scenarios,
+    derive_rng(*rng_key), reserve_nodes=reserve_nodes)``, as canonical
+    JSON data: equal identities build byte-identical pools.
+
+    Covers the topology the pool is built on (every structural
+    parameter, cable seed, fault mask; not the display name), the model
+    fields and module constants
+    :meth:`BackgroundModel.build_scenario` reads, the pool RNG key and
+    size, and :data:`POOL_CONTRACT`.  The per-run intensity jitter is
+    not part of it: it is drawn per run, after the pool exists.
+    ``None`` when ``bm`` or its workload is not the stock class (a
+    subclass may compute anything) or the workload models another
+    topology, so such a pool is never stored.
+    """
+    wl = bm.workload
+    if type(bm) is not BackgroundModel or type(wl) is not WorkloadModel or wl.top is not bm.top:
+        return None
+    top = bm.top
+    scale = top.fault_scale
+    identity = {
+        "contract": POOL_CONTRACT,
+        "topology": {
+            "params": {k: v for k, v in asdict(top.params).items() if k != "name"},
+            "seed": top.seed,
+            "faults": "" if scale is None else hashlib.sha256(scale.tobytes()).hexdigest(),
+        },
+        "model": {
+            "target_fill": bm.target_fill,
+            "default_env": asdict(bm.default_env),
+            "mix": asdict(wl.mix),
+            "archetype_rates": ARCHETYPE_RATES,
+            "archetype_weights": ARCHETYPE_WEIGHTS,
+            "fluid": asdict(POOL_FLUID_PARAMS),
+        },
+        "rng_key": list(rng_key),
+        "scenario_pool": n_scenarios,
+        "reserve_nodes": reserve_nodes,
+    }
+    # plain JSON data (tuples become lists), so it compares equal to a
+    # copy read back from disk
+    return json.loads(json.dumps(identity))
+
+
+def pool_to_bytes(scenarios: list[BackgroundScenario]) -> tuple[list[dict], bytes]:
+    """``(meta, payload)``: per-scenario scalars plus every utilization
+    field as raw little-endian float64, in pool order."""
+    meta = [{"n_jobs": s.n_jobs, "fill": s.fill, "n_links": int(s.util.size)} for s in scenarios]
+    payload = b"".join(np.ascontiguousarray(s.util, dtype="<f8").tobytes() for s in scenarios)
+    return meta, payload
+
+
+def pool_from_bytes(
+    meta: list[dict], payload: bytes, default_env: RoutingEnv
+) -> list[BackgroundScenario]:
+    """Inverse of :func:`pool_to_bytes`; raises ``ValueError`` when the
+    meta does not describe the payload."""
+    sizes = [int(m["n_links"]) for m in meta]
+    if 8 * sum(sizes) != len(payload):
+        raise ValueError("pool payload does not match its meta")
+    util = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    out = []
+    start = 0
+    for m, n in zip(meta, sizes):
+        out.append(
+            BackgroundScenario(
+                util=util[start : start + n],
+                n_jobs=int(m["n_jobs"]),
+                fill=float(m["fill"]),
+                default_env=default_env,
+            )
+        )
+        start += n
+    return out

@@ -9,7 +9,10 @@ in the store, keyed by ``(campaign fingerprint, RNG key)``; hits are
 served from disk, misses execute on the backend the uncached paths use
 — the serial loop, the :mod:`repro.parallel` fork pool, or a
 :mod:`repro.dist` shared-directory queue — and every fresh ``ok`` record
-is committed back to the store.
+is committed back to the store.  The background pool is a store
+artifact too: the first miss reads it from the store when a campaign
+with the same pool inputs (any modes) already built it, and commits it
+after a build otherwise.
 
 Equivalence contract: because each run is a pure function of its
 content address, a warm campaign's records and checkpoint JSONL are

@@ -18,7 +18,8 @@ thread, and exposes:
   of everything so far, then live follow until the job ends), fed by
   the PR 7 :class:`~repro.telemetry.stream.EventBus`.
 * ``GET  /cache/stats``               — the store's counters
-  (``cache_hits_total`` et al.) — the hit-rate contract surface.
+  (``cache_hits_total`` et al., and ``pool_*`` for background pools)
+  — the hit-rate contract surface.
 * ``GET  /healthz``                   — liveness.
 
 The HTTP layer is deliberately minimal (request line + headers +

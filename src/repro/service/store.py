@@ -22,6 +22,16 @@ campaigns, processes, and service restarts:
   by an in-flight campaign (:meth:`RunRecordStore.pinned`) are never
   evicted mid-use.
 
+* **Pools** — the background-scenario pool a campaign samples from is
+  a pure function of its own inputs (see
+  :func:`repro.scheduler.background.pool_identity`), not of the routing
+  modes, so campaigns that differ only in their modes share it.  The
+  store keeps one binary artifact per pool identity under ``pools/``,
+  with the same commit protocol, integrity hash, quarantine, ``verify``
+  scan and ``max_bytes`` budget as run entries.  Run-entry accounting
+  (``len``, ``entries``, ``bytes``, ``cache_hits_total``) never counts
+  pools; they have their own ``pool_*`` fields.
+
 The entry key hashes the same ``{"config": fingerprint, "rng_key":
 {"sample", "mode"}}`` structure as :func:`repro.dist.queue.task_id`, so
 a cache entry, a queue task, and a checkpoint record for the same run
@@ -44,10 +54,16 @@ from repro.chaos import fs as chaos_fs
 from repro.chaos.failpoints import failpoint
 from repro.core.checkpoint import StoreUnavailableError
 
-__all__ = ["CacheStats", "RunRecordStore", "StoreUnavailableError", "entry_key"]
+__all__ = ["CacheStats", "RunRecordStore", "StoreUnavailableError", "entry_key", "pool_key"]
 
 _KIND = "repro-run-cache"
 _VERSION = 1
+
+_POOL_KIND = "repro-bg-pool"
+_POOL_VERSION = 1
+#: first bytes of every pool artifact; a one-line JSON header and the
+#: raw float64 payload follow
+_POOL_MAGIC = b"REPRO-POOL\n"
 
 #: hex digits of SHA-256 kept in entry keys (collision odds are
 #: negligible at any realistic cache size; the full hash guards content)
@@ -69,6 +85,43 @@ def _entry_digest(fingerprint: dict, rng_key: dict, record: dict) -> str:
     return hashlib.sha256(_canonical(body).encode()).hexdigest()
 
 
+def pool_key(identity: dict) -> str:
+    """Content address of one background pool: its identity's hash."""
+    return hashlib.sha256(_canonical(identity).encode()).hexdigest()[:KEY_LEN]
+
+
+def _pool_digest(identity: Any, meta: Any, payload: bytes) -> str:
+    h = hashlib.sha256(_canonical({"identity": identity, "meta": meta}).encode())
+    h.update(payload)
+    return h.hexdigest()
+
+
+def _parse_pool(raw: bytes) -> tuple[dict, bytes] | None:
+    """``(header, payload)`` of an internally consistent pool artifact
+    (magic, kind/version, payload length and integrity hash), else None."""
+    if not raw.startswith(_POOL_MAGIC):
+        return None
+    end = raw.find(b"\n", len(_POOL_MAGIC))
+    if end < 0:
+        return None
+    try:
+        header = json.loads(raw[len(_POOL_MAGIC) : end])
+    except ValueError:
+        return None
+    if not isinstance(header, dict):
+        return None
+    if header.get("kind") != _POOL_KIND or header.get("version") != _POOL_VERSION:
+        return None
+    payload = raw[end + 1 :]
+    if header.get("payload_bytes") != len(payload):
+        return None
+    if header.get("sha256") != _pool_digest(
+        header.get("identity"), header.get("meta"), payload
+    ):
+        return None
+    return header, payload
+
+
 @dataclass
 class CacheStats:
     """Point-in-time store accounting (``/cache/stats``, ``cache-status``).
@@ -86,6 +139,10 @@ class CacheStats:
     dedup_puts: int = 0
     evictions: int = 0
     quarantined: int = 0
+    pool_entries: int = 0
+    pool_bytes: int = 0
+    pool_hits: int = 0
+    pool_misses: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -98,6 +155,10 @@ class CacheStats:
             "cache_dedup_puts_total": self.dedup_puts,
             "cache_evictions_total": self.evictions,
             "cache_quarantined_total": self.quarantined,
+            "pool_entries": self.pool_entries,
+            "pool_bytes": self.pool_bytes,
+            "pool_hits_total": self.pool_hits,
+            "pool_misses_total": self.pool_misses,
         }
 
 
@@ -113,8 +174,9 @@ class RunRecordStore:
     Layout under ``root``::
 
         entries/<key>.json   committed entries (complete or absent)
+        pools/<key>.pool     committed background-pool artifacts
         tmp/                 in-flight scratch, invisible to readers
-        quarantine/          entries that failed parse or integrity
+        quarantine/          entries and pools that failed parse or integrity
     """
 
     def __init__(
@@ -132,9 +194,10 @@ class RunRecordStore:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.entries_dir = self.root / "entries"
+        self.pools_dir = self.root / "pools"
         self.tmp_dir = self.root / "tmp"
         self.quarantine_dir = self.root / "quarantine"
-        for d in (self.root, self.entries_dir, self.tmp_dir, self.quarantine_dir):
+        for d in (self.root, self.entries_dir, self.pools_dir, self.tmp_dir, self.quarantine_dir):
             d.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._pins: dict[str, int] = {}
@@ -144,6 +207,8 @@ class RunRecordStore:
         self.dedup_puts = 0
         self.evictions = 0
         self.quarantined = 0
+        self.pool_hits = 0
+        self.pool_misses = 0
         # orphaned scratch from a previous SIGKILLed writer is garbage
         # by construction (nothing visible references it)
         for stale in self.tmp_dir.iterdir():
@@ -268,6 +333,82 @@ class RunRecordStore:
             return True
 
     # ------------------------------------------------------------------
+    # background pools
+    # ------------------------------------------------------------------
+    def _pool_path(self, key: str) -> Path:
+        return self.pools_dir / f"{key}.pool"
+
+    def get_pool(self, identity: dict) -> tuple[list, bytes] | None:
+        """The stored pool ``(meta, payload)`` for ``identity``, or None.
+
+        Damage is handled as in :meth:`get`: an artifact that fails to
+        parse, fails its integrity hash or names another identity is
+        quarantined and the read is a miss.
+        """
+        path = self._pool_path(pool_key(identity))
+        with self._lock:
+            try:
+                failpoint("store.get.read", path=path)
+                raw = path.read_bytes()
+            except OSError:  # FileNotFoundError included
+                self.pool_misses += 1
+                return None
+            parsed = _parse_pool(raw)
+            if parsed is None or parsed[0].get("identity") != identity:
+                self._quarantine(path)
+                self.pool_misses += 1
+                return None
+            try:
+                os.utime(path)  # LRU touch: a hit is a use
+            except OSError:
+                pass
+            self.pool_hits += 1
+            header, payload = parsed
+            return header["meta"], payload
+
+    def put_pool(self, identity: dict, meta: list, payload: bytes) -> bool:
+        """Commit one pool artifact; ``False`` when it already exists.
+
+        Same protocol and failure contract as :meth:`put` (first commit
+        wins; ENOSPC/EIO raise :class:`StoreUnavailableError` with the
+        scratch file removed).
+        """
+        key = pool_key(identity)
+        path = self._pool_path(key)
+        header = {
+            "kind": _POOL_KIND,
+            "version": _POOL_VERSION,
+            "key": key,
+            "identity": identity,
+            "meta": meta,
+            "payload_bytes": len(payload),
+            "sha256": _pool_digest(identity, meta, payload),
+        }
+        data = _POOL_MAGIC + json.dumps(header).encode() + b"\n" + payload
+        with self._lock:
+            if path.exists():
+                self.dedup_puts += 1
+                return False
+            tmp = self.tmp_dir / f".{key}.{os.getpid()}.{uuid.uuid4().hex[:8]}"
+            try:
+                chaos_fs.write_bytes_atomic(
+                    path,
+                    data,
+                    tmp,
+                    post_tmp="store.commit.post_tmp",
+                    pre_rename="store.commit.pre_rename",
+                )
+            except OSError as exc:
+                raise StoreUnavailableError("pool artifact commit", exc) from exc
+            finally:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            self._evict_to_budget()
+            return True
+
+    # ------------------------------------------------------------------
     # pinning: in-flight campaigns protect their working set
     # ------------------------------------------------------------------
     @contextmanager
@@ -295,51 +436,59 @@ class RunRecordStore:
     # ------------------------------------------------------------------
     # eviction
     # ------------------------------------------------------------------
-    def _scan(self) -> list[tuple[float, str, int]]:
-        """``(mtime, key, size)`` per entry; unreadable files are skipped."""
+    def _scan(self, pools: bool = False) -> list[tuple[float, str, int]]:
+        """``(mtime, key, size)`` per run entry (or per pool artifact);
+        unreadable files are skipped."""
+        folder, suffix = (self.pools_dir, ".pool") if pools else (self.entries_dir, ".json")
         out = []
         try:
-            names = os.listdir(self.entries_dir)
+            names = os.listdir(folder)
         except OSError:
             return out
         for name in sorted(names):
-            if not name.endswith(".json"):
+            if not name.endswith(suffix):
                 continue
             try:
-                st = (self.entries_dir / name).stat()
+                st = (folder / name).stat()
             except OSError:
                 continue
-            out.append((st.st_mtime, name[: -len(".json")], st.st_size))
+            out.append((st.st_mtime, name[: -len(suffix)], st.st_size))
         return out
 
     def _evict_to_budget(self) -> int:
-        """Delete oldest unpinned entries until inside the budgets."""
+        """Delete oldest unpinned entries and pools until inside the
+        budgets (pools count against ``max_bytes`` only)."""
         if self.max_bytes is None and self.max_entries is None:
             return 0
         entries = self._scan()
-        total = sum(size for _, _, size in entries)
+        pools = self._scan(pools=True) if self.max_bytes is not None else []
+        total = sum(size for _, _, size in entries + pools)
         count = len(entries)
+        files = [(mtime, key, size, self._path(key)) for mtime, key, size in entries]
+        files += [(mtime, key, size, self._pool_path(key)) for mtime, key, size in pools]
         evicted = 0
-        for _, key, size in sorted(entries):
+        for _, key, size, path in sorted(files):
             over_bytes = self.max_bytes is not None and total > self.max_bytes
             over_count = self.max_entries is not None and count > self.max_entries
             if not (over_bytes or over_count):
                 break
-            if key in self._pins:
+            is_pool = path.suffix == ".pool"
+            if key in self._pins or (is_pool and not over_bytes):
                 continue
             try:
-                self._path(key).unlink()
+                path.unlink()
             except OSError:
                 continue
             total -= size
-            count -= 1
+            count -= 0 if is_pool else 1
             evicted += 1
         self.evictions += evicted
         return evicted
 
     # ------------------------------------------------------------------
     def verify(self) -> tuple[int, list[str]]:
-        """Integrity-scan every committed entry: ``(ok_count, bad_keys)``.
+        """Integrity-scan every committed entry and pool artifact:
+        ``(ok_count, bad_keys)``, a bad pool listed as ``pool:<key>``.
 
         An entry is *bad* when it fails to parse, carries the wrong
         kind/version, or its SHA-256 disagrees with its own content —
@@ -376,6 +525,17 @@ class RunRecordStore:
                     self._quarantine(path)
                     continue
                 ok += 1
+            for _, key, _ in self._scan(pools=True):
+                path = self._pool_path(key)
+                try:
+                    parsed = _parse_pool(path.read_bytes())
+                except OSError:
+                    parsed = None
+                if parsed is None or parsed[0].get("key") != key:
+                    bad.append(f"pool:{key}")
+                    self._quarantine(path)
+                    continue
+                ok += 1
         return ok, bad
 
     # ------------------------------------------------------------------
@@ -388,6 +548,7 @@ class RunRecordStore:
     def stats(self) -> CacheStats:
         with self._lock:
             entries = self._scan()
+            pools = self._scan(pools=True)
             try:
                 nq = sum(1 for _ in self.quarantine_dir.iterdir())
             except OSError:
@@ -402,4 +563,8 @@ class RunRecordStore:
                 dedup_puts=self.dedup_puts,
                 evictions=self.evictions,
                 quarantined=self.quarantined,
+                pool_entries=len(pools),
+                pool_bytes=sum(size for _, _, size in pools),
+                pool_hits=self.pool_hits,
+                pool_misses=self.pool_misses,
             )

@@ -227,10 +227,15 @@ class TestParentSigterm:
     ``--resume`` finishes the campaign byte-identically.
     """
 
+    #: long enough that the campaign still has ~1 s of runs left when
+    #: the checkpoint reaches its third line, so the SIGTERM lands
+    #: mid-campaign rather than during interpreter shutdown
+    SAMPLES = 96
+
     def _argv(self, ck):
         return [
             sys.executable, "-m", "repro", "compare",
-            "--system", "mini", "--nodes", "32", "--samples", "4",
+            "--system", "mini", "--nodes", "32", "--samples", str(self.SAMPLES),
             "--modes", "AD0,AD3", "--seed", "11", "-j", "2",
             "--checkpoint", str(ck),
         ]
@@ -252,7 +257,7 @@ class TestParentSigterm:
         )
         assert done.returncode == 0, done.stderr
         full_lines = ck_full.read_text().splitlines()
-        assert len(full_lines) == 1 + 8  # header + 4 samples x 2 modes
+        assert len(full_lines) == 1 + 2 * self.SAMPLES  # header + samples x 2 modes
 
         # victim: SIGTERM once at least two runs have been checkpointed
         ck = tmp_path / "preempted.jsonl"
